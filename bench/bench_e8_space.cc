@@ -6,8 +6,9 @@
 //     the All column; the chronicle model works with the None column.
 //   * view_bytes      — the persistent view: proportional to the number of
 //     groups |V|, NOT to N.
-//   * delta_peak_rows — the maintenance working set: bounded by the batch
-//     size, independent of N.
+//   * delta_peak_rows — the maintenance working set, measured by running
+//     the view's plan as a compiled DeltaPlan: bounded by the batch size,
+//     independent of N.
 //
 // This bench reports counters rather than timing curves; the numbers are
 // the experiment.
@@ -16,9 +17,9 @@
 
 #include <algorithm>
 
-#include "algebra/delta_engine.h"
 #include "bench_common.h"
 #include "db/database.h"
+#include "exec/plan_compiler.h"
 #include "workload/call_records.h"
 
 namespace chronicle {
@@ -40,7 +41,8 @@ void RunSpace(benchmark::State& state, RetentionPolicy retention) {
     CallRecordOptions options;
     options.num_accounts = 4096;  // |V| saturates at 4096 groups
     CallRecordGenerator gen(options);
-    DeltaEngine probe;
+    exec::DeltaPlanPtr probe = Unwrap(exec::CompileDeltaPlan(scan));
+    exec::PlanScratch scratch;
     size_t delta_peak = 0;
     Chronon chronon = 0;
     int64_t remaining = stream_size;
@@ -49,7 +51,7 @@ void RunSpace(benchmark::State& state, RetentionPolicy retention) {
       AppendResult result =
           Unwrap(db.Append("calls", gen.NextBatch(n), ++chronon));
       DeltaStats stats;
-      auto delta = probe.ComputeDelta(*scan, result.event, &stats);
+      auto delta = probe->Execute(result.event, &scratch, &stats);
       benchmark::DoNotOptimize(delta);
       delta_peak = std::max(delta_peak, stats.max_intermediate_rows);
       remaining -= static_cast<int64_t>(n);

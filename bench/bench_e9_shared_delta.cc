@@ -1,15 +1,16 @@
 // Experiment E9 (ablation, DESIGN.md §3.1) — shared delta computation.
 //
 // Many persistent views are typically defined over common subexpressions
-// (the same base scan, the same guarded selection). Because CaExpr plans
-// are shared-const DAGs, the ViewManager memoizes node deltas per tick
-// (DeltaCache), so V views over one selection cost one delta computation
-// plus V cheap view folds. Series:
+// (the same base scan, the same guarded selection). Series:
 //   * SharedSubplan   — V views all summarizing ONE shared selection plan
-//     (different group keys), maintained with the per-tick cache;
+//     (different group keys);
 //   * PrivateSubplans — the same V views, each built over its own
-//     structurally identical copy of the plan: no sharing possible.
-// The gap between the two curves is what the cache buys.
+//     structurally identical copy of the plan.
+// Every view runs its own compiled DeltaPlan, which shares subexpressions
+// within one plan but not across views, so today the two curves coincide.
+// A cross-view shared circuit would open a gap between them; the
+// interpreter's former per-tick cross-view cache is the recorded target
+// (EXPERIMENTS.md, E9).
 
 #include <benchmark/benchmark.h>
 
@@ -49,11 +50,6 @@ SummarySpec SpecFor(const Schema& schema, int64_t i) {
 void RunSharing(benchmark::State& state, bool shared) {
   const int64_t num_views = state.range(0);
   ChronicleDatabase db;
-  // E9 is the interpreter's cross-view DeltaCache ablation; compiled plans
-  // (E13) share subexpressions within a plan instead of through the cache.
-  MaintenanceOptions interpreted;
-  interpreted.use_compiled_plans = false;
-  db.ReconfigureMaintenance(interpreted);
   Check(db.CreateChronicle("calls", CallSchema(), RetentionPolicy::None())
             .status());
 
@@ -66,7 +62,7 @@ void RunSharing(benchmark::State& state, bool shared) {
   for (int64_t v = 0; v < num_views; ++v) {
     CaExprPtr plan = shared_plan;
     if (!shared) {
-      // Structurally identical but a distinct node graph: defeats the memo.
+      // Structurally identical but a distinct node graph.
       CaExprPtr scan = Unwrap(
           CaExpr::Scan(0, "calls", CallSchema()));
       plan = Unwrap(CaExpr::Select(scan, Gt(Col("minutes"), Lit(Value(10)))));
@@ -92,10 +88,6 @@ void RunSharing(benchmark::State& state, bool shared) {
     Check(db.Append("calls", std::move(batch), ++chronon).status());
   }
   state.counters["num_views"] = static_cast<double>(num_views);
-  state.counters["cache_hit_rate"] =
-      static_cast<double>(db.view_manager().delta_cache_hits()) /
-      static_cast<double>(db.view_manager().delta_cache_hits() +
-                          db.view_manager().delta_cache_misses() + 1);
   state.counters["appends_per_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }

@@ -15,6 +15,7 @@
 #ifndef CHRONICLE_ALGEBRA_COMPLEXITY_H_
 #define CHRONICLE_ALGEBRA_COMPLEXITY_H_
 
+#include <cstddef>
 #include <string>
 
 #include "algebra/ca_expr.h"
@@ -56,6 +57,21 @@ struct ComplexityReport {
 
 // Classifies `expr` per the hierarchy above.
 ComplexityReport AnalyzeComplexity(const CaExpr& expr);
+
+// Measured counterpart of the Theorem 4.2 parameters: counters filled by
+// one delta computation (DeltaPlan::Execute, or the reference
+// DeltaEngine). Benchmarks E6/E8 and the per-view obs counters read these
+// to check the time/space story.
+struct DeltaStats {
+  // Largest intermediate delta (in rows) materialized at any node.
+  size_t max_intermediate_rows = 0;
+  // Total rows produced across all nodes (proxy for work done).
+  size_t total_rows_produced = 0;
+  // Relation index lookups performed (the log|R| / O(1) component).
+  size_t relation_lookups = 0;
+  // Relation rows scanned by cross products (the |R|^j component).
+  size_t relation_rows_scanned = 0;
+};
 
 }  // namespace chronicle
 

@@ -48,12 +48,10 @@ Tuple ConcatTuples(const Tuple& a, const Tuple& b) {
 }  // namespace
 
 Result<std::vector<ChronicleRow>> DeltaEngine::ComputeDelta(
-    const CaExpr& expr, const AppendEvent& event, DeltaStats* stats,
-    DeltaCache* cache) const {
-  DeltaCache local;
-  if (cache == nullptr) cache = &local;
+    const CaExpr& expr, const AppendEvent& event, DeltaStats* stats) const {
+  Memo memo;
   CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* tuples,
-                             Delta(expr, event, stats, cache));
+                             Delta(expr, event, stats, &memo));
   std::vector<ChronicleRow> rows;
   rows.reserve(tuples->size());
   for (const Tuple& t : *tuples) {
@@ -65,15 +63,11 @@ Result<std::vector<ChronicleRow>> DeltaEngine::ComputeDelta(
 Result<const std::vector<Tuple>*> DeltaEngine::Delta(const CaExpr& expr,
                                                      const AppendEvent& event,
                                                      DeltaStats* stats,
-                                                     DeltaCache* cache) const {
-  // DAG sharing: a node already evaluated this tick is returned verbatim.
+                                                     Memo* memo) const {
+  // DAG sharing: a node already evaluated this call is returned verbatim.
   // (std::unordered_map never invalidates element references on insert.)
-  auto memo_it = cache->memo_.find(&expr);
-  if (memo_it != cache->memo_.end()) {
-    ++cache->hits_;
-    return &memo_it->second;
-  }
-  ++cache->misses_;
+  auto memo_it = memo->find(&expr);
+  if (memo_it != memo->end()) return &memo_it->second;
 
   std::vector<Tuple> out;
   switch (expr.op()) {
@@ -89,7 +83,7 @@ Result<const std::vector<Tuple>*> DeltaEngine::Delta(const CaExpr& expr,
 
     case CaOp::kSelect: {
       CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* child,
-                                 Delta(*expr.child(0), event, stats, cache));
+                                 Delta(*expr.child(0), event, stats, memo));
       out.reserve(child->size());
       for (const Tuple& t : *child) {
         EvalRow row{&t, event.sn, event.chronon};
@@ -101,7 +95,7 @@ Result<const std::vector<Tuple>*> DeltaEngine::Delta(const CaExpr& expr,
 
     case CaOp::kProject: {
       CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* child,
-                                 Delta(*expr.child(0), event, stats, cache));
+                                 Delta(*expr.child(0), event, stats, memo));
       out.reserve(child->size());
       for (const Tuple& t : *child) {
         Tuple projected;
@@ -119,9 +113,9 @@ Result<const std::vector<Tuple>*> DeltaEngine::Delta(const CaExpr& expr,
       // SN-equijoin of the deltas is their full pairing; the cross terms
       // against old chronicle state are empty by Theorem 4.1.
       CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* left,
-                                 Delta(*expr.child(0), event, stats, cache));
+                                 Delta(*expr.child(0), event, stats, memo));
       CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* right,
-                                 Delta(*expr.child(1), event, stats, cache));
+                                 Delta(*expr.child(1), event, stats, memo));
       ReserveProduct(&out, left->size(), right->size());
       for (const Tuple& l : *left) {
         for (const Tuple& r : *right) {
@@ -133,9 +127,9 @@ Result<const std::vector<Tuple>*> DeltaEngine::Delta(const CaExpr& expr,
 
     case CaOp::kUnion: {
       CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* left,
-                                 Delta(*expr.child(0), event, stats, cache));
+                                 Delta(*expr.child(0), event, stats, memo));
       CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* right,
-                                 Delta(*expr.child(1), event, stats, cache));
+                                 Delta(*expr.child(1), event, stats, memo));
       out.reserve(left->size() + right->size());
       out.insert(out.end(), left->begin(), left->end());
       out.insert(out.end(), right->begin(), right->end());
@@ -147,9 +141,9 @@ Result<const std::vector<Tuple>*> DeltaEngine::Delta(const CaExpr& expr,
       // New SNs cannot exist in the old right operand (group discipline), so
       // Δ(E1 − E2) = ΔE1 − ΔE2 exactly (Theorem 4.1 proof).
       CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* left,
-                                 Delta(*expr.child(0), event, stats, cache));
+                                 Delta(*expr.child(0), event, stats, memo));
       CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* right,
-                                 Delta(*expr.child(1), event, stats, cache));
+                                 Delta(*expr.child(1), event, stats, memo));
       TupleSet removed(right->begin(), right->end());
       out.reserve(left->size());
       for (const Tuple& t : *left) {
@@ -163,7 +157,7 @@ Result<const std::vector<Tuple>*> DeltaEngine::Delta(const CaExpr& expr,
       // SN is in the grouping list, so the appended tuples form brand-new
       // groups: aggregate within the tick only.
       CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* child,
-                                 Delta(*expr.child(0), event, stats, cache));
+                                 Delta(*expr.child(0), event, stats, memo));
       KeyedTable<std::vector<AggState>> groups(IndexMode::kHash);
       // Deterministic output order, holding stable pointers into the table
       // so finalize never re-probes and the key is copied exactly once (on
@@ -202,7 +196,7 @@ Result<const std::vector<Tuple>*> DeltaEngine::Delta(const CaExpr& expr,
       // Implicit temporal join: proactive updates guarantee the current
       // relation version is the one associated with this (fresh) SN.
       CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* child,
-                                 Delta(*expr.child(0), event, stats, cache));
+                                 Delta(*expr.child(0), event, stats, memo));
       const Relation* rel = expr.relation();
       ReserveProduct(&out, child->size(), rel->size());
       for (const Tuple& t : *child) {
@@ -216,7 +210,7 @@ Result<const std::vector<Tuple>*> DeltaEngine::Delta(const CaExpr& expr,
 
     case CaOp::kRelKeyJoin: {
       CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* child,
-                                 Delta(*expr.child(0), event, stats, cache));
+                                 Delta(*expr.child(0), event, stats, memo));
       const Relation* rel = expr.relation();
       out.reserve(child->size());
       for (const Tuple& t : *child) {
@@ -231,7 +225,7 @@ Result<const std::vector<Tuple>*> DeltaEngine::Delta(const CaExpr& expr,
 
     case CaOp::kRelBoundedJoin: {
       CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* child,
-                                 Delta(*expr.child(0), event, stats, cache));
+                                 Delta(*expr.child(0), event, stats, memo));
       const Relation* rel = expr.relation();
       ReserveProduct(&out, child->size(), expr.max_matches());
       for (const Tuple& t : *child) {
@@ -269,7 +263,7 @@ Result<const std::vector<Tuple>*> DeltaEngine::Delta(const CaExpr& expr,
   }
 
   Record(stats, out.size());
-  auto [slot, inserted] = cache->memo_.emplace(&expr, std::move(out));
+  auto [slot, inserted] = memo->emplace(&expr, std::move(out));
   return &slot->second;
 }
 

@@ -1,5 +1,9 @@
 // DeltaEngine: incremental change propagation through chronicle-algebra
-// expressions (Theorems 4.1 and 4.2).
+// expressions (Theorems 4.1 and 4.2), by tree-walking interpretation.
+//
+// Production maintenance runs compiled DeltaPlans (exec/delta_plan.h); this
+// interpreter is the executable reference they are fuzzed against
+// (tests/plan_equivalence_fuzz_test.cc) and the baseline of benchmark E13.
 //
 // Given one append event (everything inserted under one fresh sequence
 // number), the engine computes the delta of any CA expression by one
@@ -31,95 +35,38 @@
 #include <vector>
 
 #include "algebra/ca_expr.h"
+#include "algebra/complexity.h"
 #include "common/status.h"
 #include "storage/chronicle_group.h"
 
 namespace chronicle {
 
-// Observability counters for one ComputeDelta call; benchmark E6/E8 read
-// these to verify the Theorem 4.2 time/space story.
-struct DeltaStats {
-  // Largest intermediate delta (in rows) materialized at any node.
-  size_t max_intermediate_rows = 0;
-  // Total rows produced across all nodes (proxy for work done).
-  size_t total_rows_produced = 0;
-  // Relation index lookups performed (the log|R| / O(1) component).
-  size_t relation_lookups = 0;
-  // Relation rows scanned by cross products (the |R|^j component).
-  size_t relation_rows_scanned = 0;
-};
-
-// Per-tick memo of node deltas, keyed by expression node identity. Because
-// CaExpr trees are shared-const DAGs, several views defined over common
-// subexpressions (the same scan, the same guarded selection, ...) can reuse
-// one DeltaCache within a tick and each subexpression's delta is computed
-// exactly once. A cache is only valid for the single AppendEvent it was
-// created for — callers reset it per tick (ViewManager does this).
-class DeltaCache {
- public:
-  void Clear() { memo_.clear(); }
-  size_t size() const { return memo_.size(); }
-
-  // Cache hits observed since construction (monitoring / bench E9).
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
-  // Folds another cache's hit/miss counters into this one. The parallel
-  // maintenance path gives each worker a private per-tick cache (no
-  // cross-thread writes) and merges the counters back afterwards so the
-  // manager-level statistics stay meaningful.
-  void MergeCounters(const DeltaCache& other) {
-    hits_ += other.hits_;
-    misses_ += other.misses_;
-  }
-
- private:
-  friend class DeltaEngine;
-  std::unordered_map<const CaExpr*, std::vector<Tuple>> memo_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-};
-
 // Thread safety: the engine is stateless and ComputeDelta is const — it
 // reads only the event, the (shared-const) expression DAG, and the current
-// relation versions through const lookups. Concurrent ComputeDelta calls
-// are safe provided (a) each call uses its own DeltaCache (or none) — the
-// cache is the ONLY state mutated during delta computation — and (b) no
-// relation referenced by the plans is mutated concurrently. (b) holds by
-// construction: relations are updated proactively, never during an append
-// tick, and ChronicleDatabase rejects relation DML while maintenance is in
-// flight.
+// relation versions through const lookups; the node memo is private to
+// each call. Concurrent calls are safe provided no relation referenced by
+// the plan is mutated concurrently.
 class DeltaEngine {
  public:
   DeltaEngine() = default;
 
   // Computes the delta rows `expr` gains from `event`. All returned rows
-  // carry event.sn. `stats` may be null. When `cache` is non-null it must
-  // belong to this event's tick (share it across plans of one tick, clear
-  // it between ticks) and must not be shared across threads.
-  Result<std::vector<ChronicleRow>> ComputeDelta(const CaExpr& expr,
-                                                 const AppendEvent& event,
-                                                 DeltaStats* stats,
-                                                 DeltaCache* cache) const;
-
-  Result<std::vector<ChronicleRow>> ComputeDelta(const CaExpr& expr,
-                                                 const AppendEvent& event,
-                                                 DeltaStats* stats) const {
-    return ComputeDelta(expr, event, stats, nullptr);
-  }
-
-  Result<std::vector<ChronicleRow>> ComputeDelta(const CaExpr& expr,
-                                                 const AppendEvent& event) const {
-    return ComputeDelta(expr, event, nullptr, nullptr);
-  }
+  // carry event.sn. `stats` may be null.
+  Result<std::vector<ChronicleRow>> ComputeDelta(
+      const CaExpr& expr, const AppendEvent& event,
+      DeltaStats* stats = nullptr) const;
 
  private:
+  // Node deltas of one call, keyed by expression node identity: a
+  // subexpression reachable through several parents of the DAG is
+  // evaluated once per call.
+  using Memo = std::unordered_map<const CaExpr*, std::vector<Tuple>>;
+
   // Recursive worker: computes (or fetches) the payload-tuple delta of
-  // `expr` inside `cache` and returns a pointer to the cached vector.
+  // `expr` inside `memo` and returns a pointer to the memoized vector.
   Result<const std::vector<Tuple>*> Delta(const CaExpr& expr,
                                           const AppendEvent& event,
-                                          DeltaStats* stats,
-                                          DeltaCache* cache) const;
+                                          DeltaStats* stats, Memo* memo) const;
 };
 
 }  // namespace chronicle

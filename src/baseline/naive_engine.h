@@ -20,15 +20,17 @@
 // history is supplied the engine uses current relation contents (exact
 // whenever relations did not change mid-stream).
 //
-// Semantics match the DeltaEngine exactly: a chronicle is a set of
-// (SN, payload) rows; Union/Difference/Project deduplicate.
+// Semantics match the incremental engines (compiled DeltaPlans and the
+// reference DeltaEngine) exactly: a chronicle is a set of (SN, payload)
+// rows; Union/Difference/Project deduplicate.
 //
-// Unlike the DeltaEngine, this engine also evaluates the four Theorem 4.3
-// constructs (ProjectDropSn, GroupByNoSn, ChronicleCross, SeqThetaJoin) —
-// demonstrating that they are *expressible* in relational algebra, just
-// not incrementally maintainable without chronicle access. Conventions for
-// non-chronicle results: SN-dropping operators emit rows with sn = 0;
-// cross/theta joins between chronicles emit sn = max of the operand SNs.
+// Unlike the incremental engines, this engine also evaluates the four
+// Theorem 4.3 constructs (ProjectDropSn, GroupByNoSn, ChronicleCross,
+// SeqThetaJoin) — demonstrating that they are *expressible* in relational
+// algebra, just not incrementally maintainable without chronicle access.
+// Conventions for non-chronicle results: SN-dropping operators emit rows
+// with sn = 0; cross/theta joins between chronicles emit sn = max of the
+// operand SNs.
 
 #ifndef CHRONICLE_BASELINE_NAIVE_ENGINE_H_
 #define CHRONICLE_BASELINE_NAIVE_ENGINE_H_

@@ -280,6 +280,7 @@ Status ChronicleDatabase::CreatePeriodicView(
       std::unique_ptr<PeriodicViewSet> set,
       PeriodicViewSet::Make(name, std::move(plan), std::move(spec),
                             std::move(calendar), options));
+  set->set_columnar_enabled(options_.maintenance.use_columnar_kernels);
   periodic_by_name_[name] = periodic_.size();
   periodic_.push_back(std::move(set));
   return Status::OK();
@@ -297,9 +298,24 @@ Status ChronicleDatabase::CreateSlidingView(const std::string& name,
       std::unique_ptr<SlidingWindowView> view,
       SlidingWindowView::Make(name, std::move(plan), std::move(spec), origin,
                               pane_width, num_panes, index_mode));
+  view->set_columnar_enabled(options_.maintenance.use_columnar_kernels);
   sliding_by_name_[name] = sliding_.size();
   sliding_.push_back(std::move(view));
   return Status::OK();
+}
+
+void ChronicleDatabase::ReconfigureMaintenance(
+    const MaintenanceOptions& options) {
+  options_.maintenance = options;
+  views_.set_maintenance_options(options);
+  for (const auto& set : periodic_) {
+    if (set != nullptr) set->set_columnar_enabled(options.use_columnar_kernels);
+  }
+  for (const auto& view : sliding_) {
+    if (view != nullptr) {
+      view->set_columnar_enabled(options.use_columnar_kernels);
+    }
+  }
 }
 
 Status ChronicleDatabase::DropView(const std::string& name) {
@@ -562,8 +578,6 @@ obs::StatsSnapshot ChronicleDatabase::CollectStatsLocked() const {
   obs::StatsSnapshot snap;
   snap.appends_processed = appends_processed_;
   snap.live_views = views_.num_live_views();
-  snap.delta_cache_hits = views_.delta_cache_hits();
-  snap.delta_cache_misses = views_.delta_cache_misses();
   if (metrics_ != nullptr) metrics_->Snapshot(&snap.metrics);
   views_.SnapshotViewStats(&snap.views);
   if (trace_ != nullptr) {

@@ -184,10 +184,6 @@ struct DatabaseOptions {
     maintenance.num_threads = n;
     return *this;
   }
-  DatabaseOptions& set_use_compiled_plans(bool on) {
-    maintenance.use_compiled_plans = on;
-    return *this;
-  }
   DatabaseOptions& set_use_columnar_kernels(bool on) {
     maintenance.use_columnar_kernels = on;
     return *this;
@@ -519,10 +515,8 @@ class ChronicleDatabase {
 
   // Reconfigures the maintenance path between appends: the blessed
   // runtime counterpart of DatabaseOptions::maintenance (shell \threads).
-  void ReconfigureMaintenance(const MaintenanceOptions& options) {
-    options_.maintenance = options;
-    views_.set_maintenance_options(options);
-  }
+  // use_columnar_kernels reaches the periodic and sliding views too.
+  void ReconfigureMaintenance(const MaintenanceOptions& options);
   // Attaches/detaches the write-ahead hook between appends: the runtime
   // counterpart of DatabaseOptions::durability (shell \wal).
   void AttachMutationLog(MutationLog* log) {

@@ -1,16 +1,18 @@
-// Compiled delta plans: the batch-at-a-time twin of algebra/delta_engine.
+// Compiled delta plans: the production delta engine (Theorems 4.1/4.2).
 //
-// DeltaEngine re-walks the CaExpr tree on every tick and pays a hash-map
-// memo probe per node, a fresh std::vector per operator, and a heap Status
-// per unmatched join key. Theorem 4.2 says the per-append algebra is cheap;
-// those constant factors are pure interpretation overhead. A DeltaPlan
-// removes them structurally:
+// Every maintained view — persistent, periodic and sliding — runs its
+// per-append delta through a DeltaPlan. The reference interpreter
+// (algebra/delta_engine) re-walks the CaExpr tree on every tick and pays a
+// hash-map memo probe per node, a fresh std::vector per operator, and a
+// heap Status per unmatched join key. Theorem 4.2 says the per-append
+// algebra is cheap; those constant factors are pure interpretation
+// overhead. A DeltaPlan removes them structurally:
 //
 //   * At view-registration time the validated CaExpr DAG is lowered into a
 //     flat POST-ORDER instruction list (exec/plan_compiler.h). Instructions
 //     read and write numbered operand slots; a subexpression shared by
-//     several parents is lowered ONCE and its slot read many times — the
-//     per-tick memo hashing of DeltaCache disappears by construction.
+//     several parents is lowered ONCE and its slot read many times — no
+//     per-tick memo hashing.
 //   * Execution is batch-at-a-time over a PlanScratch: every slot is a
 //     retained std::vector<Tuple> that is cleared (never freed) between
 //     ticks, dedupe reuses a retained hash set, group-by reuses a retained
@@ -20,11 +22,10 @@
 //   * Relation probes go through the status-free Relation::FindByKey /
 //     FindBySecondary, so the inner-join miss path allocates nothing.
 //
-// Semantics are BYTE-IDENTICAL to DeltaEngine (same operator order, same
-// first-seen dedupe, same error texts for Definition 4.2 violations);
-// tests/plan_equivalence_fuzz_test.cc enforces this with randomized
-// expressions, and ViewManager keeps the interpreter available as the
-// MaintenanceOptions::use_compiled_plans=false fallback.
+// Semantics are BYTE-IDENTICAL to the reference interpreter (same operator
+// order, same first-seen dedupe, same error texts for Definition 4.2
+// violations); tests/plan_equivalence_fuzz_test.cc enforces this with
+// randomized expressions, interpreter vs row-compiled vs columnar.
 //
 // Thread safety: a DeltaPlan is immutable after compilation and may be
 // executed concurrently; all mutable state lives in the caller-owned
@@ -40,7 +41,7 @@
 
 #include "aggregates/aggregate.h"
 #include "algebra/ca_expr.h"
-#include "algebra/delta_engine.h"
+#include "algebra/complexity.h"
 #include "common/arena.h"
 #include "common/status.h"
 #include "exec/column_batch.h"
@@ -236,14 +237,14 @@ class DeltaPlan {
   // Executes the plan for one append event. Returns the root delta as a
   // pointer into `scratch` — valid until the scratch's next execution.
   // All rows conceptually carry event.sn (ExecuteToRows stamps it).
-  // `stats` may be null; counters match the interpreter's exactly.
+  // `stats` may be null; counters match the reference interpreter's.
   Result<const std::vector<Tuple>*> Execute(const AppendEvent& event,
                                             PlanScratch* scratch,
                                             DeltaStats* stats) const;
 
-  // Execute + SN stamping into the scratch's retained row buffer: the
-  // drop-in replacement for DeltaEngine::ComputeDelta on the maintenance
-  // path. The returned pointer is valid until the scratch's next use.
+  // Execute + SN stamping into the scratch's retained row buffer: what
+  // every maintenance path folds into its views. The returned pointer is
+  // valid until the scratch's next use.
   Result<const std::vector<ChronicleRow>*> ExecuteToRows(
       const AppendEvent& event, PlanScratch* scratch,
       DeltaStats* stats) const;
@@ -254,7 +255,7 @@ class DeltaPlan {
   size_t num_slots() const { return instrs_.size(); }
   uint32_t root_slot() const { return root_slot_; }
   // DAG edges that were resolved to an already-compiled slot — each one is
-  // a whole subtree the interpreter would have re-memoized every tick.
+  // a whole subtree shared instead of recomputed.
   size_t shared_subexpressions() const { return shared_subexpressions_; }
   const CaExprPtr& root() const { return root_; }
   // Instructions the compiler routed to the vector engine.

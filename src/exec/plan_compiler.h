@@ -4,13 +4,13 @@
 // append path. The compiler walks the shared-const CaExpr DAG in post
 // order, assigns each DISTINCT node one output slot, and emits one
 // instruction per distinct node: a subexpression reachable through many
-// parents (the same scan under every branch of a union fan, a guarded
-// selection shared by two views' plans) is compiled once and referenced by
-// slot thereafter. That is the whole DeltaCache, paid at compile time.
+// parents (the same scan under every branch of a union fan) is compiled
+// once and referenced by slot thereafter — the per-tick node memo of the
+// reference interpreter, paid at compile time.
 //
-// The four Theorem 4.3 constructs are rejected with the interpreter's
-// exact diagnostic, so callers see one error surface regardless of
-// execution mode.
+// The four Theorem 4.3 constructs are rejected with the reference
+// interpreter's exact diagnostic, so a view registration that fails here
+// reports the same error the interpreter would on its first tick.
 
 #ifndef CHRONICLE_EXEC_PLAN_COMPILER_H_
 #define CHRONICLE_EXEC_PLAN_COMPILER_H_

@@ -24,11 +24,11 @@
 //
 // Storage is the same per-slot seqlock ring discipline as obs::TraceRing:
 // emission is one relaxed fetch_add plus relaxed payload stores bracketed
-// by an odd/even version, so shard workers and HTTP threads emit
-// concurrently without locks and a reader snapshotting mid-overwrite
-// drops the torn slot instead of returning garbage. Span trees are
-// stitched on READ by grouping the ring on trace id — nothing at emission
-// time cares which thread a span came from.
+// by an odd/even version (ClaimSeqlockSlot), so shard workers and HTTP
+// threads emit concurrently without locks and a reader snapshotting
+// mid-overwrite drops the torn slot instead of returning garbage. Span
+// trees are stitched on READ by grouping the ring on trace id — nothing at
+// emission time cares which thread a span came from.
 //
 // Slow-request capture: when a sampled request's total latency exceeds
 // `slow_budget_ns`, MaybeCaptureSlow invokes the installed callback
@@ -49,6 +49,7 @@
 
 #include "common/histogram.h"
 #include "obs/stats.h"
+#include "obs/trace.h"
 
 namespace chronicle {
 namespace obs {
@@ -150,7 +151,7 @@ class RequestTracer {
   uint64_t NewSpanId();
 
   // Records one span and folds its duration into the per-stage histogram.
-  // Lock-free; call only for sampled contexts (the unsampled path must
+  // Takes no lock; call only for sampled contexts (the unsampled path must
   // not reach here — that is the overhead contract).
   void Emit(const TraceContext& ctx, uint64_t span_id, uint64_t parent_span,
             ReqStage stage, int32_t shard, uint16_t worker, int64_t start_ns,

@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include <thread>
+
 namespace chronicle {
 namespace obs {
 
@@ -29,6 +31,29 @@ size_t RoundUpPow2(size_t n) {
 
 }  // namespace
 
+bool ClaimSeqlockSlot(std::atomic<uint64_t>* version, uint64_t seq) {
+  const uint64_t claimed = 2 * seq + 1;
+  uint64_t cur = version->load(std::memory_order_relaxed);
+  while (true) {
+    if (cur >= claimed) return false;  // a newer span owns the slot
+    if (cur & 1) {
+      // An older writer is inside: let it publish first.
+      std::this_thread::yield();
+      cur = version->load(std::memory_order_relaxed);
+      continue;
+    }
+    if (version->compare_exchange_weak(cur, claimed,
+                                       std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  // Orders the odd version before the payload stores that follow (the
+  // reader pairs this with its acquire fence).
+  std::atomic_thread_fence(std::memory_order_release);
+  return true;
+}
+
 TraceRing::TraceRing(size_t capacity)
     : slots_(capacity == 0 ? 0 : RoundUpPow2(capacity)),
       epoch_(std::chrono::steady_clock::now()) {}
@@ -40,13 +65,10 @@ void TraceRing::Emit(SpanKind kind, uint16_t worker, uint64_t sn,
   const uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq & (slots_.size() - 1)];
   // Seqlock write: odd version in, fields, even version out. The payload
-  // stores are relaxed (they are ordered by the release stores on
-  // version); two writers can only collide on one slot after the ring
-  // wraps within a single tick, in which case the slot ends even and
-  // holds one of the two spans — still coherent.
-  const uint64_t v = slot.version.load(std::memory_order_relaxed);
-  slot.version.store(v + 1, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_release);
+  // stores are relaxed (ordered by the fences around them). Writers that
+  // meet on one slot after the ring wraps enter it one at a time, newest
+  // seq last; an overtaken writer drops its span.
+  if (!ClaimSeqlockSlot(&slot.version, seq)) return;
   slot.seq.store(seq, std::memory_order_relaxed);
   slot.kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);
   slot.worker.store(worker, std::memory_order_relaxed);
@@ -55,7 +77,7 @@ void TraceRing::Emit(SpanKind kind, uint16_t worker, uint64_t sn,
   slot.duration_ns.store(duration_ns, std::memory_order_relaxed);
   slot.detail0.store(detail0, std::memory_order_relaxed);
   slot.detail1.store(detail1, std::memory_order_relaxed);
-  slot.version.store(v + 2, std::memory_order_release);
+  PublishSeqlockSlot(&slot.version, seq);
 }
 
 bool TraceRing::ReadSlot(const Slot& slot, TraceSpan* out) {

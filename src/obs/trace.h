@@ -5,17 +5,20 @@
 // the batch-order merge — so a stall or an imbalance is visible after the
 // fact without a profiler attached. The ring is sized at construction and
 // NEVER allocates on the emission path: a span costs one relaxed
-// fetch_add to claim a slot plus a handful of relaxed stores. Old spans
-// are overwritten (it is a flight recorder, not a log); Snapshot() returns
-// the retained window oldest-first.
+// fetch_add for its emission number, one compare-exchange to enter its
+// slot, and a handful of relaxed stores. Old spans are overwritten (it is
+// a flight recorder, not a log); Snapshot() returns the retained window
+// oldest-first.
 //
-// Concurrency: emission is lock-free and safe from multiple workers —
-// each Emit claims a distinct slot. Snapshot may now run CONCURRENTLY with
-// emission (the live monitoring endpoint and the flight recorder read the
-// ring from other threads): every slot is a seqlock — an atomic version
-// that is odd while a writer is inside plus atomic fields — so a reader
-// that races an overwrite detects the torn slot (version odd, or changed
-// across the read) and drops that span instead of returning garbage.
+// Concurrency: emission is safe from multiple workers — each Emit claims a
+// distinct emission number. Snapshot may run CONCURRENTLY with emission
+// (the live monitoring endpoint and the flight recorder read the ring from
+// other threads): every slot is a seqlock — an atomic version that is odd
+// while a writer is inside plus atomic fields — so a reader that races an
+// overwrite detects the torn slot (version odd, or changed across the
+// read) and drops that span instead of returning garbage. Once the ring
+// wraps, two writers can map to one slot; ClaimSeqlockSlot lets only one
+// of them inside at a time, so a slot never holds a mix of two spans.
 //
 // Timestamps are steady-clock nanoseconds relative to the ring's creation
 // (NowNanos), so spans from one process compare directly and no wall-clock
@@ -44,6 +47,21 @@ enum class SpanKind : uint8_t {
 
 // Human-readable name of a SpanKind, e.g. "append_tick".
 const char* SpanKindToString(SpanKind kind);
+
+// Enters the seqlock slot guarded by `version` for the writer of emission
+// number `seq` (TraceRing and RequestTracer share this discipline). The
+// version is derived from the seq: 2*seq+1 while that writer is inside,
+// 2*seq+2 once it publishes with PublishSeqlockSlot, so a slot only ever
+// moves forward to newer spans. Returns false — drop the span — when a
+// writer with a newer seq has already claimed the slot. While an older
+// writer is still inside (a handful of stores), this waits for it instead
+// of interleaving fields with it.
+bool ClaimSeqlockSlot(std::atomic<uint64_t>* version, uint64_t seq);
+
+// Ends the write of a slot entered by ClaimSeqlockSlot(version, seq).
+inline void PublishSeqlockSlot(std::atomic<uint64_t>* version, uint64_t seq) {
+  version->store(2 * seq + 2, std::memory_order_release);
+}
 
 struct TraceSpan {
   uint64_t seq = 0;        // monotone emission number (global order)
@@ -76,7 +94,8 @@ class TraceRing {
         .count();
   }
 
-  // Records one span. Lock-free; overwrites the oldest span when full.
+  // Records one span without taking a lock; overwrites the oldest span
+  // when full.
   void Emit(SpanKind kind, uint16_t worker, uint64_t sn, int64_t start_ns,
             int64_t duration_ns, uint64_t detail0 = 0, uint64_t detail1 = 0);
 

@@ -9,11 +9,11 @@
 // Instances are created lazily when the first tick inside their interval
 // arrives, maintained while their interval is current, and expired (their
 // space reclaimed) once their interval has been closed for longer than the
-// configured grace period. Each append computes the delta of the shared
-// defining expression ONCE and folds it into every containing instance —
-// so for a sliding calendar with overlap factor W/s this costs W/s view
-// updates per append; the SlidingWindowView optimization removes that
-// factor.
+// configured grace period. Each append runs the shared defining
+// expression's compiled delta plan ONCE and folds the delta into every
+// containing instance — so for a sliding calendar with overlap factor W/s
+// this costs W/s view updates per append; the SlidingWindowView
+// optimization removes that factor.
 
 #ifndef CHRONICLE_PERIODIC_PERIODIC_VIEW_H_
 #define CHRONICLE_PERIODIC_PERIODIC_VIEW_H_
@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "algebra/delta_engine.h"
+#include "exec/delta_plan.h"
 #include "periodic/calendar.h"
 #include "views/persistent_view.h"
 
@@ -39,8 +39,9 @@ struct PeriodicViewOptions {
 
 class PeriodicViewSet {
  public:
-  // `plan` must pass ValidateChronicleAlgebra; `calendar` is shared because
-  // several periodic views often run on one business calendar.
+  // `plan` must pass ValidateChronicleAlgebra; it is compiled here, once,
+  // and a compile error is returned. `calendar` is shared because several
+  // periodic views often run on one business calendar.
   static Result<std::unique_ptr<PeriodicViewSet>> Make(
       std::string name, CaExprPtr plan, SummarySpec spec,
       std::shared_ptr<const Calendar> calendar,
@@ -48,7 +49,13 @@ class PeriodicViewSet {
 
   const std::string& name() const { return name_; }
   const Calendar& calendar() const { return *calendar_; }
-  const CaExprPtr& plan() const { return plan_; }
+  const CaExprPtr& plan() const { return compiled_->root(); }
+
+  // Runs the plan's columnar instructions on the vector kernels (default)
+  // or pins them to the row engine; output is byte-identical either way.
+  // The database keeps this in step with
+  // MaintenanceOptions::use_columnar_kernels.
+  void set_columnar_enabled(bool on) { scratch_.set_columnar_enabled(on); }
 
   // Maintains all instances whose interval contains the event's chronon,
   // then expires instances that have left the grace window.
@@ -85,18 +92,18 @@ class PeriodicViewSet {
   }
 
  private:
-  PeriodicViewSet(std::string name, CaExprPtr plan, SummarySpec spec,
-                  std::shared_ptr<const Calendar> calendar,
+  PeriodicViewSet(std::string name, exec::DeltaPlanPtr compiled,
+                  SummarySpec spec, std::shared_ptr<const Calendar> calendar,
                   PeriodicViewOptions options);
 
   Status ExpireUpTo(Chronon now);
 
   std::string name_;
-  CaExprPtr plan_;
   SummarySpec spec_;
   std::shared_ptr<const Calendar> calendar_;
   PeriodicViewOptions options_;
-  DeltaEngine engine_;
+  exec::DeltaPlanPtr compiled_;
+  exec::PlanScratch scratch_;  // retained across ticks
 
   // interval index -> live instance, kept ordered so expiration scans the
   // oldest instances first.

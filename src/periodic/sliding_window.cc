@@ -4,20 +4,22 @@
 #include <unordered_set>
 
 #include "algebra/validate.h"
+#include "exec/plan_compiler.h"
 
 namespace chronicle {
 
-SlidingWindowView::SlidingWindowView(std::string name, CaExprPtr plan,
+SlidingWindowView::SlidingWindowView(std::string name,
+                                     exec::DeltaPlanPtr compiled,
                                      SummarySpec spec, Chronon origin,
                                      Chronon pane_width, int64_t num_panes,
                                      IndexMode index_mode)
     : name_(std::move(name)),
-      plan_(std::move(plan)),
       spec_(std::move(spec)),
       origin_(origin),
       pane_width_(pane_width),
       num_panes_(num_panes),
       index_mode_(index_mode),
+      compiled_(std::move(compiled)),
       ring_(static_cast<size_t>(num_panes)) {
   for (Pane& pane : ring_) {
     pane.groups = KeyedTable<std::vector<AggState>>(index_mode_);
@@ -39,9 +41,11 @@ Result<std::unique_ptr<SlidingWindowView>> SlidingWindowView::Make(
   if (pane_width <= 0 || num_panes <= 0) {
     return Status::InvalidArgument("pane width and count must be positive");
   }
-  return std::unique_ptr<SlidingWindowView>(
-      new SlidingWindowView(std::move(name), std::move(plan), std::move(spec),
-                            origin, pane_width, num_panes, index_mode));
+  CHRONICLE_ASSIGN_OR_RETURN(exec::DeltaPlanPtr compiled,
+                             exec::CompileDeltaPlan(std::move(plan)));
+  return std::unique_ptr<SlidingWindowView>(new SlidingWindowView(
+      std::move(name), std::move(compiled), std::move(spec), origin,
+      pane_width, num_panes, index_mode));
 }
 
 Status SlidingWindowView::ProcessAppend(const AppendEvent& event) {
@@ -50,10 +54,11 @@ Status SlidingWindowView::ProcessAppend(const AppendEvent& event) {
   if (pane_index < current_pane_) {
     return Status::OutOfRange("chronon regressed below the current pane");
   }
-  CHRONICLE_ASSIGN_OR_RETURN(std::vector<ChronicleRow> delta,
-                             engine_.ComputeDelta(*plan_, event));
+  CHRONICLE_ASSIGN_OR_RETURN(
+      const std::vector<ChronicleRow>* delta,
+      compiled_->ExecuteToRows(event, &scratch_, /*stats=*/nullptr));
   current_pane_ = pane_index;
-  if (delta.empty()) return Status::OK();
+  if (delta->empty()) return Status::OK();
 
   Pane& pane = ring_[static_cast<size_t>(pane_index % num_panes_)];
   if (pane.pane_index != pane_index) {
@@ -61,7 +66,7 @@ Status SlidingWindowView::ProcessAppend(const AppendEvent& event) {
     pane.groups.Clear();
     pane.pane_index = pane_index;
   }
-  for (const ChronicleRow& row : delta) {
+  for (const ChronicleRow& row : *delta) {
     Tuple key = spec_.KeyOf(row.values);
     std::vector<AggState>* states = pane.groups.Find(key);
     if (states == nullptr) {

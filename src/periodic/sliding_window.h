@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "algebra/delta_engine.h"
+#include "exec/delta_plan.h"
 #include "periodic/calendar.h"
 #include "storage/keyed_table.h"
 #include "views/summary_spec.h"
@@ -40,17 +40,24 @@ namespace chronicle {
 class SlidingWindowView {
  public:
   // `spec` must be a GroupBy summarization (decomposable aggregates);
-  // pane_width > 0, num_panes > 0.
+  // pane_width > 0, num_panes > 0. The plan is compiled here, once, and a
+  // compile error is returned.
   static Result<std::unique_ptr<SlidingWindowView>> Make(
       std::string name, CaExprPtr plan, SummarySpec spec, Chronon origin,
       Chronon pane_width, int64_t num_panes,
       IndexMode index_mode = IndexMode::kHash);
 
   const std::string& name() const { return name_; }
-  const CaExprPtr& plan() const { return plan_; }
+  const CaExprPtr& plan() const { return compiled_->root(); }
   Chronon window() const { return pane_width_ * num_panes_; }
   Chronon pane_width() const { return pane_width_; }
   int64_t num_panes() const { return num_panes_; }
+
+  // Runs the plan's columnar instructions on the vector kernels (default)
+  // or pins them to the row engine; output is byte-identical either way.
+  // The database keeps this in step with
+  // MaintenanceOptions::use_columnar_kernels.
+  void set_columnar_enabled(bool on) { scratch_.set_columnar_enabled(on); }
 
   // Folds one append into the pane containing event.chronon. Events before
   // `origin` are ignored; chronons must not regress (group discipline).
@@ -88,9 +95,9 @@ class SlidingWindowView {
     KeyedTable<std::vector<AggState>> groups{IndexMode::kHash};
   };
 
-  SlidingWindowView(std::string name, CaExprPtr plan, SummarySpec spec,
-                    Chronon origin, Chronon pane_width, int64_t num_panes,
-                    IndexMode index_mode);
+  SlidingWindowView(std::string name, exec::DeltaPlanPtr compiled,
+                    SummarySpec spec, Chronon origin, Chronon pane_width,
+                    int64_t num_panes, IndexMode index_mode);
 
   // Merges the states for `key` across all panes of the current window;
   // false if the key is in no pane.
@@ -98,13 +105,13 @@ class SlidingWindowView {
   Tuple FinalizeRow(const Tuple& key, const std::vector<AggState>& states) const;
 
   std::string name_;
-  CaExprPtr plan_;
   SummarySpec spec_;
   Chronon origin_;
   Chronon pane_width_;
   int64_t num_panes_;
   IndexMode index_mode_;
-  DeltaEngine engine_;
+  exec::DeltaPlanPtr compiled_;
+  exec::PlanScratch scratch_;  // retained across ticks
 
   std::vector<Pane> ring_;
   int64_t current_pane_ = -1;

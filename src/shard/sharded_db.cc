@@ -647,8 +647,6 @@ obs::StatsSnapshot ShardedDatabase::CollectStats() const {
     obs::StatsSnapshot snap = engines_[k]->CollectStats();
     merged.appends_processed += snap.appends_processed;
     merged.live_views = std::max(merged.live_views, snap.live_views);
-    merged.delta_cache_hits += snap.delta_cache_hits;
-    merged.delta_cache_misses += snap.delta_cache_misses;
     merged.trace_emitted += snap.trace_emitted;
     merged.trace_capacity += snap.trace_capacity;
 
@@ -692,7 +690,6 @@ obs::StatsSnapshot ShardedDatabase::CollectStats() const {
       dst.stats.updates += view.stats.updates;
       dst.stats.delta_rows += view.stats.delta_rows;
       dst.stats.compiled_ticks += view.stats.compiled_ticks;
-      dst.stats.interpreted_ticks += view.stats.interpreted_ticks;
       dst.stats.relation_lookups += view.stats.relation_lookups;
       dst.stats.max_intermediate_rows = std::max(
           dst.stats.max_intermediate_rows, view.stats.max_intermediate_rows);

@@ -1,8 +1,7 @@
 // Replayable backfill: RegisterViewWithBackfill on a database that has
 // already processed appends must produce a view byte-identical to one
 // registered before SN 1 — across retention modes (All in memory, Tiered
-// with most history in warm segments) and across both execution engines
-// (interpreter and compiled delta plans).
+// with most history in warm segments).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -31,10 +30,8 @@ struct ScratchDir {
 
 enum class Tiering { kAllInMemory, kTiered };
 
-DatabaseOptions MakeOptions(Tiering tiering, bool compiled,
-                            const std::string& dir) {
+DatabaseOptions MakeOptions(Tiering tiering, const std::string& dir) {
   DatabaseOptions options;
-  options.maintenance.use_compiled_plans = compiled;
   if (tiering == Tiering::kTiered) {
     store::StorageOptions storage;
     storage.data_dir = dir;
@@ -69,11 +66,11 @@ void AppendWorkload(ChronicleDatabase* db, int ticks) {
 }
 
 // Registered-at-SN-0 reference vs late registration with backfill.
-void RunEquivalence(Tiering tiering, bool compiled) {
+void RunEquivalence(Tiering tiering) {
   ScratchDir ref_dir("ref"), late_dir("late");
   const int kTicks = 120;
 
-  ChronicleDatabase reference(MakeOptions(tiering, compiled, ref_dir.path));
+  ChronicleDatabase reference(MakeOptions(tiering, ref_dir.path));
   ASSERT_TRUE(reference
                   .CreateChronicle("calls", CallRecordGenerator::RecordSchema(),
                                    PolicyFor(tiering))
@@ -81,7 +78,7 @@ void RunEquivalence(Tiering tiering, bool compiled) {
   CreateMinutesView(&reference);
   AppendWorkload(&reference, kTicks);
 
-  ChronicleDatabase late(MakeOptions(tiering, compiled, late_dir.path));
+  ChronicleDatabase late(MakeOptions(tiering, late_dir.path));
   ASSERT_TRUE(late.CreateChronicle("calls",
                                    CallRecordGenerator::RecordSchema(),
                                    PolicyFor(tiering))
@@ -109,24 +106,14 @@ void RunEquivalence(Tiering tiering, bool compiled) {
             reference.ScanView("minutes").value());
 }
 
-TEST(Backfill, AllRetentionInterpreter) {
-  RunEquivalence(Tiering::kAllInMemory, /*compiled=*/false);
-}
-TEST(Backfill, AllRetentionCompiled) {
-  RunEquivalence(Tiering::kAllInMemory, /*compiled=*/true);
-}
-TEST(Backfill, TieredRetentionInterpreter) {
-  RunEquivalence(Tiering::kTiered, /*compiled=*/false);
-}
-TEST(Backfill, TieredRetentionCompiled) {
-  RunEquivalence(Tiering::kTiered, /*compiled=*/true);
-}
+TEST(Backfill, AllRetention) { RunEquivalence(Tiering::kAllInMemory); }
+TEST(Backfill, TieredRetention) { RunEquivalence(Tiering::kTiered); }
 
 TEST(Backfill, TieredSpillsActuallyHappened) {
   // Guard against the tiered variants silently degenerating to in-memory:
   // the workload must have pushed most rows into warm segments.
   ScratchDir dir("spillcheck");
-  ChronicleDatabase db(MakeOptions(Tiering::kTiered, false, dir.path));
+  ChronicleDatabase db(MakeOptions(Tiering::kTiered, dir.path));
   ASSERT_TRUE(db.CreateChronicle("calls", CallRecordGenerator::RecordSchema(),
                                  PolicyFor(Tiering::kTiered))
                   .ok());

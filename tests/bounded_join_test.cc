@@ -6,9 +6,9 @@
 
 #include "algebra/complexity.h"
 #include "common/random.h"
-#include "algebra/delta_engine.h"
 #include "algebra/validate.h"
 #include "baseline/naive_engine.h"
+#include "compiled_delta.h"
 #include "views/persistent_view.h"
 
 namespace chronicle {
@@ -86,20 +86,21 @@ TEST(BoundedJoinTest, DeltaExpandsByMatches) {
   CaExprPtr plan =
       CaExpr::RelBoundedJoin(ScanCalls(), &features, "plan_id", "plan_id", 2)
           .value();
-  DeltaEngine engine;
-  DeltaStats stats;
-  auto delta = engine
-                   .ComputeDelta(*plan,
-                                 Event(1, {Tuple{Value(7), Value(1), Value(5)},
-                                           Tuple{Value(8), Value(2), Value(6)},
-                                           Tuple{Value(9), Value(99), Value(7)}}),
-                                 &stats)
-                   .value();
-  // plan 1 -> 2 features, plan 2 -> 1, plan 99 -> 0.
-  EXPECT_EQ(delta.size(), 3u);
-  EXPECT_EQ(stats.relation_lookups, 3u);
-  for (const ChronicleRow& row : delta) {
-    EXPECT_EQ(row.values.size(), 6u);  // 3 chronicle + 3 relation columns
+  for (bool columnar : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "columnar=" << columnar);
+    CompiledDelta engine(plan, columnar);
+    DeltaStats stats;
+    const AppendEvent event =
+        Event(1, {Tuple{Value(7), Value(1), Value(5)},
+                  Tuple{Value(8), Value(2), Value(6)},
+                  Tuple{Value(9), Value(99), Value(7)}});
+    auto delta = engine.ComputeDelta(event, &stats).value();
+    // plan 1 -> 2 features, plan 2 -> 1, plan 99 -> 0.
+    EXPECT_EQ(delta.size(), 3u);
+    EXPECT_EQ(stats.relation_lookups, 3u);
+    for (const ChronicleRow& row : delta) {
+      EXPECT_EQ(row.values.size(), 6u);  // 3 chronicle + 3 relation columns
+    }
   }
 }
 
@@ -111,13 +112,15 @@ TEST(BoundedJoinTest, BoundViolationIsIntegrityError) {
   // Violate the constraint: plan 1 now has 3 feature rows.
   ASSERT_TRUE(
       features.Insert(Tuple{Value(1), Value("evening"), Value(0.01)}).ok());
-  DeltaEngine engine;
-  Status st = engine
-                  .ComputeDelta(*plan,
-                                Event(1, {Tuple{Value(7), Value(1), Value(5)}}))
-                  .status();
-  ASSERT_TRUE(st.IsFailedPrecondition());
-  EXPECT_NE(st.message().find("Definition 4.2"), std::string::npos);
+  for (bool columnar : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "columnar=" << columnar);
+    CompiledDelta engine(plan, columnar);
+    Status st =
+        engine.ComputeDelta(Event(1, {Tuple{Value(7), Value(1), Value(5)}}))
+            .status();
+    ASSERT_TRUE(st.IsFailedPrecondition());
+    EXPECT_NE(st.message().find("Definition 4.2"), std::string::npos);
+  }
 }
 
 TEST(BoundedJoinTest, MatchesOracleRecomputation) {
@@ -133,9 +136,11 @@ TEST(BoundedJoinTest, MatchesOracleRecomputation) {
                                           {AggSpec::Sum("minutes", "m"),
                                            AggSpec::Count("n")})
                          .value();
-  auto view = PersistentView::Make(0, "by_feature", plan, spec).value();
-
-  DeltaEngine engine;
+  // One view per kernel choice, fed the same events.
+  auto row_view = PersistentView::Make(0, "by_feature", plan, spec).value();
+  auto col_view = PersistentView::Make(1, "by_feature", plan, spec).value();
+  CompiledDelta row_engine(plan, /*columnar=*/false);
+  CompiledDelta col_engine(plan, /*columnar=*/true);
   Rng rng(5);
   for (int tick = 0; tick < 100; ++tick) {
     AppendEvent event =
@@ -144,15 +149,21 @@ TEST(BoundedJoinTest, MatchesOracleRecomputation) {
                                   Value(static_cast<int64_t>(rng.Uniform(4))),
                                   Value(static_cast<int64_t>(rng.Uniform(60)))}})
             .value();
-    ASSERT_TRUE(view->ApplyDelta(engine.ComputeDelta(*plan, event).value()).ok());
+    ASSERT_TRUE(
+        row_view->ApplyDelta(row_engine.ComputeDelta(event).value()).ok());
+    ASSERT_TRUE(
+        col_view->ApplyDelta(col_engine.ComputeDelta(event).value()).ok());
   }
 
   NaiveEngine oracle(&group);
   std::vector<Tuple> expected = oracle.EvaluateSummary(*plan, spec).value();
-  std::vector<Tuple> actual;
-  ASSERT_TRUE(view->Scan([&](const Tuple& row) { actual.push_back(row); }).ok());
-  SortTuples(&actual);
-  EXPECT_EQ(actual, expected);
+  for (const auto* view : {row_view.get(), col_view.get()}) {
+    std::vector<Tuple> actual;
+    ASSERT_TRUE(
+        view->Scan([&](const Tuple& row) { actual.push_back(row); }).ok());
+    SortTuples(&actual);
+    EXPECT_EQ(actual, expected);
+  }
 }
 
 TEST(BoundedJoinTest, SeesCurrentRelationVersion) {
@@ -164,17 +175,20 @@ TEST(BoundedJoinTest, SeesCurrentRelationVersion) {
           CaExpr::Scan(*group.GetChronicle(calls).value()).value(), &features,
           "plan_id", "plan_id", 2)
           .value();
-  DeltaEngine engine;
+  CompiledDelta row_engine(plan, /*columnar=*/false);
+  CompiledDelta col_engine(plan, /*columnar=*/true);
 
   AppendEvent e1 =
       group.Append(calls, {Tuple{Value(1), Value(2), Value(5)}}).value();
-  EXPECT_EQ(engine.ComputeDelta(*plan, e1).value().size(), 1u);
+  EXPECT_EQ(row_engine.ComputeDelta(e1).value().size(), 1u);
+  EXPECT_EQ(col_engine.ComputeDelta(e1).value().size(), 1u);
 
   // Proactive feature addition for plan 2: future ticks see both rows.
   ASSERT_TRUE(features.Insert(Tuple{Value(2), Value("intl"), Value(0.2)}).ok());
   AppendEvent e2 =
       group.Append(calls, {Tuple{Value(1), Value(2), Value(5)}}).value();
-  EXPECT_EQ(engine.ComputeDelta(*plan, e2).value().size(), 2u);
+  EXPECT_EQ(row_engine.ComputeDelta(e2).value().size(), 2u);
+  EXPECT_EQ(col_engine.ComputeDelta(e2).value().size(), 2u);
 }
 
 }  // namespace

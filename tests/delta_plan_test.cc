@@ -111,7 +111,7 @@ TEST(PlanCompilerTest, Theorem43OpsRejectedWithInterpreterDiagnostics) {
     // The compile-time diagnostic is the interpreter's runtime diagnostic,
     // verbatim: callers see one error text regardless of engine.
     Result<std::vector<ChronicleRow>> interpreted =
-        engine.ComputeDelta(*expr, event, nullptr, nullptr);
+        engine.ComputeDelta(*expr, event);
     ASSERT_FALSE(interpreted.ok());
     EXPECT_EQ(compiled.status().message(), interpreted.status().message());
   }
@@ -148,7 +148,7 @@ TEST(DeltaPlanTest, ExecuteMatchesInterpreterOnSimplePlan) {
         sn, {Call(1, "NJ", 2 + static_cast<int64_t>(sn)), Call(2, "NJ", 9),
              Call(3, "NY", 1)});
     std::vector<ChronicleRow> interpreted =
-        engine.ComputeDelta(*plan_expr, event, nullptr, nullptr).value();
+        engine.ComputeDelta(*plan_expr, event).value();
     const std::vector<ChronicleRow>* compiled =
         plan->ExecuteToRows(event, &scratch, nullptr).value();
     ASSERT_EQ(interpreted.size(), compiled->size());
@@ -211,7 +211,7 @@ TEST(DeltaPlanTest, BoundedJoinViolationMatchesInterpreterError) {
   AppendEvent event = Event(1, {Tuple{Value("NJ"), Value(int64_t{5})}});
   DeltaEngine engine;
   Result<std::vector<ChronicleRow>> interpreted =
-      engine.ComputeDelta(*join, event, nullptr, nullptr);
+      engine.ComputeDelta(*join, event);
   exec::PlanScratch scratch;
   Result<const std::vector<Tuple>*> compiled =
       plan->Execute(event, &scratch, nullptr);

@@ -7,15 +7,20 @@
 //   * Delta computation never touches the chronicle: results are identical
 //     whether the chronicle retains everything or nothing, and the
 //     engine's working set does not grow with the number of past ticks.
+//
+// Every property is checked on the production delta engine — compiled
+// DeltaPlans — with the columnar kernels on and off.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
 #include <unordered_set>
 
-#include "algebra/delta_engine.h"
 #include "baseline/naive_engine.h"
 #include "common/random.h"
+#include "compiled_delta.h"
 
 namespace chronicle {
 namespace {
@@ -43,11 +48,15 @@ struct RowKey {
   }
 };
 
-std::string PlanName(const ::testing::TestParamInfo<size_t>& info) {
+// (plan index into Plans(), columnar kernels on?)
+using PlanParam = std::tuple<size_t, bool>;
+
+std::string PlanName(const ::testing::TestParamInfo<PlanParam>& info) {
   static const char* const kNames[] = {"Scan",       "Select",     "Project",
                                        "Union",      "Difference", "SeqJoin",
                                        "GroupBySeq", "RelKeyJoin", "RelCross"};
-  return kNames[info.param];
+  return std::string(kNames[std::get<0>(info.param)]) +
+         (std::get<1>(info.param) ? "_Columnar" : "_Row");
 }
 
 std::set<RowKey> ToSet(const std::vector<ChronicleRow>& rows) {
@@ -81,7 +90,7 @@ std::vector<CaExprPtr> Plans(CaExprPtr a, CaExprPtr b, const Relation* rel) {
   return plans;
 }
 
-class MonotonicityTest : public ::testing::TestWithParam<size_t> {};
+class MonotonicityTest : public ::testing::TestWithParam<PlanParam> {};
 
 TEST_P(MonotonicityTest, DeltasOnlyAddRowsWithTheNewSn) {
   ChronicleGroup group;
@@ -94,11 +103,12 @@ TEST_P(MonotonicityTest, DeltasOnlyAddRowsWithTheNewSn) {
 
   CaExprPtr scan_a = CaExpr::Scan(*group.GetChronicle(ca).value()).value();
   CaExprPtr scan_b = CaExpr::Scan(*group.GetChronicle(cb).value()).value();
-  CaExprPtr plan = Plans(scan_a, scan_b, &rel)[GetParam()];
+  const size_t plan_index = std::get<0>(GetParam());
+  CaExprPtr plan = Plans(scan_a, scan_b, &rel)[plan_index];
 
-  DeltaEngine delta_engine;
+  CompiledDelta delta_engine(plan, std::get<1>(GetParam()));
   NaiveEngine oracle(&group);
-  Rng rng(GetParam() * 7919 + 13);
+  Rng rng(plan_index * 7919 + 13);
 
   std::set<RowKey> materialized = ToSet(oracle.Evaluate(*plan).value());
 
@@ -117,8 +127,7 @@ TEST_P(MonotonicityTest, DeltasOnlyAddRowsWithTheNewSn) {
         group.AppendMulti(std::move(inserts), static_cast<Chronon>(tick))
             .value();
 
-    std::vector<ChronicleRow> delta =
-        delta_engine.ComputeDelta(*plan, event).value();
+    std::vector<ChronicleRow> delta = delta_engine.ComputeDelta(event).value();
 
     // (1) Every delta row carries exactly the tick's fresh SN.
     for (const ChronicleRow& row : delta) {
@@ -140,7 +149,9 @@ TEST_P(MonotonicityTest, DeltasOnlyAddRowsWithTheNewSn) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPlans, MonotonicityTest,
-                         ::testing::Range<size_t>(0, 9), PlanName);
+                         ::testing::Combine(::testing::Range<size_t>(0, 9),
+                                            ::testing::Bool()),
+                         PlanName);
 
 TEST(ChronicleIndependenceTest, DeltaIdenticalWithoutStoredChronicle) {
   // Two groups fed the same stream — one retains everything, one nothing.
@@ -163,7 +174,10 @@ TEST(ChronicleIndependenceTest, DeltaIdenticalWithoutStoredChronicle) {
                      Gt(Col("minutes"), Lit(Value(10))))
           .value();
 
-  DeltaEngine engine;
+  // The stored group runs the columnar kernels, the streaming one the row
+  // engine: equal deltas also pin the two kernels to each other.
+  CompiledDelta engine_s(plan_s, /*columnar=*/true);
+  CompiledDelta engine_n(plan_n, /*columnar=*/false);
   Rng rng(55);
   for (int tick = 0; tick < 100; ++tick) {
     Tuple call{Value(static_cast<int64_t>(rng.Uniform(5))),
@@ -171,8 +185,8 @@ TEST(ChronicleIndependenceTest, DeltaIdenticalWithoutStoredChronicle) {
                Value(static_cast<int64_t>(rng.Uniform(30)))};
     AppendEvent es = stored.Append(cs, {call}).value();
     AppendEvent en = stream.Append(cn, {call}).value();
-    auto ds = engine.ComputeDelta(*plan_s, es).value();
-    auto dn = engine.ComputeDelta(*plan_n, en).value();
+    auto ds = engine_s.ComputeDelta(es).value();
+    auto dn = engine_n.ComputeDelta(en).value();
     ASSERT_EQ(ds.size(), dn.size());
     for (size_t i = 0; i < ds.size(); ++i) {
       EXPECT_EQ(ds[i].values, dn[i].values);
@@ -198,23 +212,26 @@ TEST(ChronicleIndependenceTest, WorkingSetIndependentOfHistoryLength) {
                          &rel, "caller")
           .value();
 
-  DeltaEngine engine;
-  size_t early_peak = 0, late_peak = 0;
-  for (int tick = 0; tick < 2000; ++tick) {
-    AppendEvent event =
-        group.Append(calls, {Tuple{Value(tick % 16), Value("NJ"), Value(1)}})
-            .value();
-    DeltaStats stats;
-    ASSERT_TRUE(engine.ComputeDelta(*plan, event, &stats).ok());
-    if (tick < 100) {
-      early_peak = std::max(early_peak, stats.max_intermediate_rows);
+  for (bool columnar : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "columnar=" << columnar);
+    CompiledDelta engine(plan, columnar);
+    size_t early_peak = 0, late_peak = 0;
+    for (int tick = 0; tick < 2000; ++tick) {
+      AppendEvent event =
+          group.Append(calls, {Tuple{Value(tick % 16), Value("NJ"), Value(1)}})
+              .value();
+      DeltaStats stats;
+      ASSERT_TRUE(engine.ComputeDelta(event, &stats).ok());
+      if (tick < 100) {
+        early_peak = std::max(early_peak, stats.max_intermediate_rows);
+      }
+      if (tick >= 1900) {
+        late_peak = std::max(late_peak, stats.max_intermediate_rows);
+      }
     }
-    if (tick >= 1900) {
-      late_peak = std::max(late_peak, stats.max_intermediate_rows);
-    }
+    EXPECT_EQ(early_peak, late_peak);  // no dependence on history length
+    EXPECT_LE(late_peak, 1u);          // one row in, at most one row out
   }
-  EXPECT_EQ(early_peak, late_peak);  // no dependence on history length
-  EXPECT_LE(late_peak, 1u);          // one row in, at most one row out
 }
 
 TEST(ChronicleIndependenceTest, KeyJoinLookupCountMatchesBatchNotRelation) {
@@ -238,11 +255,14 @@ TEST(ChronicleIndependenceTest, KeyJoinLookupCountMatchesBatchNotRelation) {
                             Tuple{Value(2), Value("NJ"), Value(2)},
                             Tuple{Value(3), Value("NJ"), Value(3)}})
             .value();
-    DeltaEngine engine;
-    DeltaStats stats;
-    ASSERT_TRUE(engine.ComputeDelta(*plan, event, &stats).ok());
-    EXPECT_EQ(stats.relation_lookups, 3u) << "|R|=" << rel_size;
-    EXPECT_EQ(stats.relation_rows_scanned, 0u);
+    for (bool columnar : {false, true}) {
+      CompiledDelta engine(plan, columnar);
+      DeltaStats stats;
+      ASSERT_TRUE(engine.ComputeDelta(event, &stats).ok());
+      EXPECT_EQ(stats.relation_lookups, 3u)
+          << "|R|=" << rel_size << " columnar=" << columnar;
+      EXPECT_EQ(stats.relation_rows_scanned, 0u);
+    }
   }
 }
 

@@ -11,8 +11,8 @@
 //     the state matches a local oracle exactly (nothing dropped, nothing
 //     duplicated).
 //   * Equivalence: networked ingest lands byte-identically to local
-//     AppendMany across the interpreted, compiled, and columnar delta
-//     engines, and on a sharded session.
+//     AppendMany with the row-compiled and columnar delta kernels, and on
+//     a sharded session.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -739,13 +739,12 @@ TEST_F(NetServiceTest, BackpressureIsPerSessionAndLossless) {
   EXPECT_EQ(SortedRows(*net_rows), SortedRows(*oracle_view));
 }
 
-// Networked-vs-local equivalence across the delta engines and sharding:
+// Networked-vs-local equivalence across the delta kernels and sharding:
 // the same generated stream ingested over the wire and via local
 // AppendRows must produce byte-identical view contents.
 struct EngineConfig {
   const char* name;
   size_t shards;
-  bool compiled;
   bool columnar;
 };
 
@@ -762,7 +761,6 @@ TEST_P(NetEquivalenceTest, NetworkedMatchesLocalAppendMany) {
   ASSERT_NE(oracle, nullptr);
   for (Session* s : {server.get(), oracle.get()}) {
     MaintenanceOptions m = s->maintenance_options();
-    m.use_compiled_plans = cfg.compiled;
     m.use_columnar_kernels = cfg.columnar;
     s->ReconfigureMaintenance(m);
   }
@@ -808,10 +806,9 @@ TEST_P(NetEquivalenceTest, NetworkedMatchesLocalAppendMany) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, NetEquivalenceTest,
-    ::testing::Values(EngineConfig{"interp", 1, false, false},
-                      EngineConfig{"compiled", 1, true, false},
-                      EngineConfig{"columnar", 1, true, true},
-                      EngineConfig{"sharded4", 4, false, false}),
+    ::testing::Values(EngineConfig{"compiled", 1, false},
+                      EngineConfig{"columnar", 1, true},
+                      EngineConfig{"sharded4", 4, true}),
     [](const ::testing::TestParamInfo<EngineConfig>& info) {
       return info.param.name;
     });

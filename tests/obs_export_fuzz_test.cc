@@ -72,8 +72,6 @@ StatsSnapshot RandomSnapshot(Rng* rng) {
   StatsSnapshot snap;
   snap.appends_processed = RandomCount(rng);
   snap.live_views = rng->Uniform(10);
-  snap.delta_cache_hits = RandomCount(rng);
-  snap.delta_cache_misses = RandomCount(rng);
   snap.trace_emitted = RandomCount(rng);
   snap.trace_capacity = rng->Uniform(1024);
 
@@ -99,7 +97,6 @@ StatsSnapshot RandomSnapshot(Rng* rng) {
     v.stats.updates = RandomCount(rng);
     v.stats.delta_rows = RandomCount(rng);
     v.stats.compiled_ticks = RandomCount(rng);
-    v.stats.interpreted_ticks = RandomCount(rng);
     v.stats.relation_lookups = RandomCount(rng);
     v.stats.max_intermediate_rows = RandomCount(rng);
     v.stats.plan_slots = static_cast<uint32_t>(rng->Uniform(64));

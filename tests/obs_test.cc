@@ -177,12 +177,12 @@ TEST(DatabaseOptionsTest, BuilderChainsAndAggregateAccessAgree) {
   DatabaseOptions options = DatabaseOptions()
                                 .set_routing(RoutingMode::kGuards)
                                 .set_num_threads(4)
-                                .set_use_compiled_plans(false)
+                                .set_use_columnar_kernels(false)
                                 .set_trace_capacity(32)
                                 .set_profile_view_latency(true);
   EXPECT_EQ(options.routing, RoutingMode::kGuards);
   EXPECT_EQ(options.maintenance.num_threads, 4u);
-  EXPECT_FALSE(options.maintenance.use_compiled_plans);
+  EXPECT_FALSE(options.maintenance.use_columnar_kernels);
   EXPECT_EQ(options.observability.trace_capacity, 32u);
   EXPECT_TRUE(options.observability.profile_view_latency);
 
@@ -396,7 +396,7 @@ TEST(ExporterRoundTripTest, SnapshotMatchesAccumulatedReports) {
       s.ticks += 1;
       s.delta_rows += outcome.delta_rows;
       if (outcome.delta_rows > 0) s.updates += 1;
-      if (outcome.compiled) s.compiled_ticks += 1;
+      s.compiled_ticks += 1;  // every tick runs the compiled plan
     }
   }
   ASSERT_EQ(rebuilt.size(), kViews);

@@ -1,16 +1,17 @@
-// Fuzz equivalence: the compiled DeltaPlan executor must be byte-identical
-// to the DeltaEngine interpreter — same rows, same order, same errors — on
-// randomized chronicle-algebra expressions. Two layers:
+// Fuzz equivalence: the compiled DeltaPlan executor — row and columnar
+// kernels — must be byte-identical to the reference DeltaEngine
+// interpreter — same rows, same order, same errors — on randomized
+// chronicle-algebra expressions. Two layers:
 //
 //   * Expression level: a depth-bounded random generator composes all ten
 //     legal CA operators (with schema-compatible Union/Difference operands
-//     and shared-subexpression DAGs by construction) and drives both
-//     engines over randomized append events, asserting identical
-//     ChronicleRow output tick by tick.
+//     and shared-subexpression DAGs by construction) and drives the
+//     interpreter and both compiled legs over randomized append events,
+//     asserting identical ChronicleRow output tick by tick.
 //   * Database level: a mixed-shape view catalog is maintained under every
-//     routing mode x thread count x engine combination; all runs must
-//     produce identical view contents, and within a routing mode identical
-//     MaintenanceReport counters.
+//     routing mode x thread count x kernel combination; all runs must
+//     produce the view contents of the serial row-compiled kCheckAll run,
+//     and within a routing mode identical MaintenanceReport counters.
 //
 // Seeded through the CHRONICLE_FUZZ_SEED replay scheme: CI varies the seed
 // per run, failures print the value, and exporting it reproduces locally.
@@ -274,7 +275,7 @@ TEST(PlanEquivalenceFuzzTest, RandomExpressionsMatchInterpreterTickByTick) {
       }
 
       Result<std::vector<ChronicleRow>> interpreted =
-          engine.ComputeDelta(*expr, event, nullptr, nullptr);
+          engine.ComputeDelta(*expr, event);
       // Row-compiled leg first (it shares nothing with the columnar
       // scratch), then the columnar leg; its rows stay valid until that
       // scratch's next execution.
@@ -314,7 +315,7 @@ TEST(PlanEquivalenceFuzzTest, RandomExpressionsMatchInterpreterTickByTick) {
 }
 
 // ---------------------------------------------------------------------------
-// Database level: routing modes x thread counts x engines.
+// Database level: routing modes x thread counts x kernels.
 
 void ApplyDdl(ChronicleDatabase* db) {
   ASSERT_TRUE(
@@ -397,51 +398,62 @@ RunResult DriveWorkload(ChronicleDatabase* db, uint64_t seed) {
   return result;
 }
 
-TEST(PlanEquivalenceFuzzTest, DatabaseAgreesAcrossModesThreadsAndEngines) {
+MaintenanceOptions SerialRowCompiled() {
+  MaintenanceOptions options;
+  options.num_threads = 1;
+  options.use_columnar_kernels = false;
+  return options;
+}
+
+TEST(PlanEquivalenceFuzzTest, DatabaseAgreesAcrossModesThreadsAndKernels) {
   const uint64_t seed = FuzzSeed(424242);
   SCOPED_TRACE(testing::Message() << "CHRONICLE_FUZZ_SEED=" << seed);
 
+  // Contents reference: serial row-compiled under kCheckAll, where every
+  // view is handed every append — routing prunes nothing.
+  ChronicleDatabase reference_db(RoutingMode::kCheckAll);
+  ApplyDdl(&reference_db);
+  reference_db.ReconfigureMaintenance(SerialRowCompiled());
+  const RunResult reference = DriveWorkload(&reference_db, seed);
+
   const RoutingMode kModes[] = {RoutingMode::kCheckAll, RoutingMode::kGuards,
                                 RoutingMode::kEqIndex};
-  std::vector<RunResult> per_mode_reference;
   for (RoutingMode mode : kModes) {
-    // Reference for this mode: serial interpreter.
-    ChronicleDatabase reference_db(mode);
-    ApplyDdl(&reference_db);
-    MaintenanceOptions interpreted;
-    interpreted.num_threads = 1;
-    interpreted.use_compiled_plans = false;
-    reference_db.ReconfigureMaintenance(interpreted);
-    RunResult reference = DriveWorkload(&reference_db, seed);
+    // Report reference for this mode: its serial row-compiled run. Routing
+    // only prunes provably-empty work, so its contents match kCheckAll.
+    ChronicleDatabase mode_db(mode);
+    ApplyDdl(&mode_db);
+    mode_db.ReconfigureMaintenance(SerialRowCompiled());
+    const RunResult mode_reference = DriveWorkload(&mode_db, seed);
+    EXPECT_EQ(reference.views, mode_reference.views)
+        << "mode=" << static_cast<int>(mode);
 
     for (size_t threads : {1u, 2u, 8u}) {
-      // 0 = interpreter, 1 = row-compiled, 2 = columnar.
-      for (int eng : {0, 1, 2}) {
-        if (threads == 1 && eng == 0) continue;  // that IS the reference
+      for (bool columnar : {false, true}) {
+        if (threads == 1 && !columnar) continue;  // that IS mode_reference
         SCOPED_TRACE(testing::Message()
                      << "mode=" << static_cast<int>(mode)
-                     << " threads=" << threads << " engine=" << eng);
+                     << " threads=" << threads << " columnar=" << columnar);
         ChronicleDatabase db(mode);
         ApplyDdl(&db);
         MaintenanceOptions options;
         options.num_threads = threads;
         options.min_views_per_task = 1;
-        options.use_compiled_plans = eng != 0;
-        options.use_columnar_kernels = eng == 2;
+        options.use_columnar_kernels = columnar;
         db.ReconfigureMaintenance(options);
         RunResult run = DriveWorkload(&db, seed);
 
         // Within a mode, the routing decisions — and so every report
-        // counter — must be engine- and thread-independent.
-        ASSERT_EQ(reference.reports.size(), run.reports.size());
+        // counter — must be kernel- and thread-independent.
+        ASSERT_EQ(mode_reference.reports.size(), run.reports.size());
         for (size_t i = 0; i < run.reports.size(); ++i) {
-          EXPECT_EQ(reference.reports[i].views_considered,
+          EXPECT_EQ(mode_reference.reports[i].views_considered,
                     run.reports[i].views_considered);
-          EXPECT_EQ(reference.reports[i].views_updated,
+          EXPECT_EQ(mode_reference.reports[i].views_updated,
                     run.reports[i].views_updated);
-          EXPECT_EQ(reference.reports[i].views_skipped,
+          EXPECT_EQ(mode_reference.reports[i].views_skipped,
                     run.reports[i].views_skipped);
-          EXPECT_EQ(reference.reports[i].delta_rows_applied,
+          EXPECT_EQ(mode_reference.reports[i].delta_rows_applied,
                     run.reports[i].delta_rows_applied);
         }
         ASSERT_EQ(reference.views.size(), run.views.size());
@@ -451,12 +463,7 @@ TEST(PlanEquivalenceFuzzTest, DatabaseAgreesAcrossModesThreadsAndEngines) {
         }
       }
     }
-    per_mode_reference.push_back(std::move(reference));
   }
-  // Routing only prunes provably-empty work: contents agree across modes.
-  ASSERT_EQ(per_mode_reference.size(), 3u);
-  EXPECT_EQ(per_mode_reference[0].views, per_mode_reference[1].views);
-  EXPECT_EQ(per_mode_reference[0].views, per_mode_reference[2].views);
 }
 
 }  // namespace

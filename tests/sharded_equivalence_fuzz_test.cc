@@ -1,8 +1,8 @@
 // Sharding equivalence fuzz: a ShardedDatabase must be observably
 // indistinguishable from one unsharded ChronicleDatabase fed the same
 // workload — byte-identical ScanView contents and QueryView answers — for
-// every num_shards in {1, 2, 8} and both maintenance engines (compiled
-// DeltaPlan and interpreter) on the shards. With num_shards == 1 the
+// every num_shards in {1, 2, 8} and both delta kernels (row-compiled and
+// columnar) on the shards. With num_shards == 1 the
 // router forwards verbatim, so the match must extend to engine counters
 // (appends_processed, last SN): that is the bit-identical oracle the CI
 // gate relies on.
@@ -317,15 +317,16 @@ TEST(ShardedEquivalenceFuzzTest, ShardedMatchesUnshardedAcrossEngines) {
   for (int v = 0; v < 12; ++v) shapes.push_back(RandomShape(&rng, v));
   const std::vector<Step> steps = MakeWorkload(seed ^ 0x9e3779b97f4a7c15ull);
 
-  // Reference: one unsharded engine, interpreter.
-  ChronicleDatabase reference;
+  // Reference: one unsharded engine, serial row-compiled, kCheckAll
+  // routing (every view sees every append).
+  ChronicleDatabase reference(RoutingMode::kCheckAll);
   ApplyBaseDdl(&reference);
   ApplyShapes(&reference, shapes);
   {
-    MaintenanceOptions interpreted;
-    interpreted.num_threads = 1;
-    interpreted.use_compiled_plans = false;
-    reference.ReconfigureMaintenance(interpreted);
+    MaintenanceOptions row_compiled;
+    row_compiled.num_threads = 1;
+    row_compiled.use_columnar_kernels = false;
+    reference.ReconfigureMaintenance(row_compiled);
   }
   Drive(&reference, steps);
   std::vector<std::vector<Tuple>> expected;
@@ -334,9 +335,9 @@ TEST(ShardedEquivalenceFuzzTest, ShardedMatchesUnshardedAcrossEngines) {
   }
 
   for (size_t num_shards : {1u, 2u, 8u}) {
-    for (bool compiled : {false, true}) {
+    for (bool columnar : {false, true}) {
       SCOPED_TRACE(testing::Message()
-                   << "num_shards=" << num_shards << " compiled=" << compiled);
+                   << "num_shards=" << num_shards << " columnar=" << columnar);
       DatabaseOptions options;
       options.sharding.num_shards = num_shards;
       auto sharded = ShardedDatabase::Open(options).value();
@@ -345,7 +346,7 @@ TEST(ShardedEquivalenceFuzzTest, ShardedMatchesUnshardedAcrossEngines) {
       for (size_t k = 0; k < sharded->num_shards(); ++k) {
         MaintenanceOptions engine_options;
         engine_options.num_threads = 1;
-        engine_options.use_compiled_plans = compiled;
+        engine_options.use_columnar_kernels = columnar;
         sharded->engine(k).ReconfigureMaintenance(engine_options);
       }
       Drive(sharded.get(), steps);

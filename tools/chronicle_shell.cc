@@ -16,7 +16,7 @@
 //   \profile on|off   toggle per-view maintenance profiling
 //   \profile plan on|off  toggle per-slot plan profiling (feeds \explain)
 //   \threads <n>      maintain views on n worker threads (1 = serial)
-//   \engine <e>       delta engine: interp | compiled | columnar
+//   \engine <e>       delta kernels: compiled (row) | columnar
 //   \shards <n>       reopen as an n-shard database (state is reset!)
 //   \wal <dir>        log every mutation to a write-ahead log in <dir>
 //   \wal off          sync and detach the write-ahead log
@@ -248,16 +248,12 @@ bool HandleMeta(ShellState* state, const std::string& line, bool* done) {
   } else if (line.rfind("\\engine ", 0) == 0) {
     const std::string which = line.substr(8);
     chronicle::MaintenanceOptions options = session->maintenance_options();
-    if (which == "interp") {
-      options.use_compiled_plans = false;
-    } else if (which == "compiled") {
-      options.use_compiled_plans = true;
+    if (which == "compiled") {
       options.use_columnar_kernels = false;
     } else if (which == "columnar") {
-      options.use_compiled_plans = true;
       options.use_columnar_kernels = true;
     } else {
-      std::printf("usage: \\engine interp|compiled|columnar\n");
+      std::printf("usage: \\engine compiled|columnar\n");
       return true;
     }
     session->ReconfigureMaintenance(options);
@@ -307,7 +303,7 @@ bool HandleMeta(ShellState* state, const std::string& line, bool* done) {
   } else {
     std::printf(
         "unknown meta-command %s (try \\profile [plan] on|off, \\threads <n>, "
-        "\\engine interp|compiled|columnar, \\shards <n>, \\wal <dir>|off, "
+        "\\engine compiled|columnar, \\shards <n>, \\wal <dir>|off, "
         "\\checkpoint, \\recover <dir>, \\stats [prom|json], \\trace, "
         "\\serve <port>|off, \\listen <port> [token]|off, \\history, "
         "\\explain <view>, \\quit)\n",
